@@ -137,8 +137,11 @@ func (c Config) Fig8() error {
 
 // Fig9 reproduces "Impact of number of threads": total running time with
 // 1, 2, 4, ... up to the host CPU count. The paper's key shapes: Ex-DPC
-// plateaus (its delta phase is serial), Approx-DPC and S-Approx-DPC keep
-// scaling, LSH-DDP scales irregularly (no load balancing).
+// plateaus (its delta phase is serial there), Approx-DPC and S-Approx-DPC
+// keep scaling, LSH-DDP scales irregularly (no load balancing). This
+// Ex-DPC runs its delta phase in parallel over blocks of the density
+// order (see core.ExDPC), so its curve need not plateau as the paper's
+// does.
 func (c Config) Fig9() error {
 	w := c.w()
 	maxT := runtime.GOMAXPROCS(0)

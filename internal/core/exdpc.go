@@ -16,11 +16,13 @@ import (
 // self-scheduling because per-point cost tracks the unknown local density.
 //
 // Dependent points use the incremental-kd-tree idea: destroy the tree,
-// sort points by descending density, and for each point run a nearest-
-// neighbor query against the tree holding exactly the higher-density
-// points, then insert it. This phase is inherently sequential (each query
-// depends on all previous inserts), which is the scalability limitation
-// Figure 9 exposes and Approx-DPC removes.
+// sort points by descending density, and find each point's nearest
+// neighbor among the higher-density points. The paper runs this as a
+// serial query-then-insert loop, the scalability limitation its Figure 9
+// exposes and Approx-DPC removes; here it runs in parallel over
+// fixed-size blocks of the density order — each point queries a tree
+// frozen at its block's start, then scans the denser members of its own
+// block — so the result stays exact and identical for every worker count.
 type ExDPC struct{}
 
 // Name implements Algorithm.

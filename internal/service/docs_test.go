@@ -2,46 +2,48 @@ package service
 
 import (
 	"os"
-	"regexp"
 	"strings"
 	"testing"
 )
 
-// routeRegistration matches the literal patterns handed to
-// mux.HandleFunc in this package — the single source of truth for what
-// the daemon serves.
-var routeRegistration = regexp.MustCompile(`mux\.HandleFunc\("([A-Z]+) ([^"]+)"`)
-
-// TestDocsCoverRegisteredRoutes enumerates every route registered by the
-// single-node handler and the ring router and fails if docs/api.md does
-// not mention it — so an endpoint cannot ship undocumented, and the doc
-// page cannot silently rot when routes move.
+// TestDocsCoverRegisteredRoutes enumerates the route table — the one
+// place routes are declared — as both constructors build it, a ring of
+// one (NewHandler) and a ring with peers (NewRouter), and fails if
+// docs/api.md does not mention a route — so an endpoint cannot ship
+// undocumented, and the doc page cannot silently rot when routes move.
 func TestDocsCoverRegisteredRoutes(t *testing.T) {
 	docs, err := os.ReadFile("../../docs/api.md")
 	if err != nil {
 		t.Fatalf("docs/api.md must exist and document every route: %v", err)
 	}
+	solo := New(Options{Workers: 1})
+	rt, err := NewRouter(New(Options{Workers: 1}), "http://127.0.0.1:1", []string{"http://127.0.0.1:1"}, RouterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := map[string][]route{
+		"NewHandler": newSolo(solo).routes(),
+		"NewRouter":  rt.routes(),
+	}
 	seen := map[string]bool{}
-	for _, src := range []string{"http.go", "router.go"} {
-		b, err := os.ReadFile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range routeRegistration.FindAllStringSubmatch(string(b), -1) {
-			method, path := m[1], m[2]
-			key := method + " " + path
-			if seen[key] {
+	for ctor, table := range tables {
+		for _, rr := range table {
+			if seen[rr.pattern] {
 				continue
 			}
-			seen[key] = true
+			seen[rr.pattern] = true
+			_, path, ok := strings.Cut(rr.pattern, " ")
+			if !ok {
+				t.Errorf("%s: route pattern %q has no method", ctor, rr.pattern)
+				continue
+			}
 			if !strings.Contains(string(docs), "`"+path+"`") {
-				t.Errorf("%s (registered in %s) is not documented in docs/api.md", key, src)
+				t.Errorf("%s (registered by %s) is not documented in docs/api.md", rr.pattern, ctor)
 			}
 		}
 	}
-	// A rewrite that moves registration off mux.HandleFunc literals would
-	// silently blind this test; the floor catches that.
+	// The floor catches a table that lost its routes.
 	if len(seen) < 12 {
-		t.Fatalf("found only %d registered routes — route extraction is broken", len(seen))
+		t.Fatalf("found only %d registered routes — route enumeration is broken", len(seen))
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/geom"
+	"repro/internal/ring"
 	"repro/internal/wire"
 )
 
@@ -60,8 +61,11 @@ const maxSweepBytes = 4 << 20
 // re-cut, so an unbounded list would monopolize the pool.
 const maxSweepSettings = 256
 
-// NewHandler wires the dpcd JSON API onto a Service. The request and
-// response shapes are defined in the repro/api package:
+// NewHandler serves the dpcd JSON API of a single instance: the route
+// table (routes.go) over a ring of one. Every key resolves to this
+// instance, no drift hooks are set, and the fan-out routes answer the
+// local view. The request and response shapes are defined in the
+// repro/api package:
 //
 //	GET  /healthz              liveness probe
 //	GET  /v1/datasets          list registered datasets
@@ -82,189 +86,192 @@ const maxSweepSettings = 256
 // codec (absent Accept mirrors the request). /v1/decision-graph honors
 // Accept the same way. Every non-2xx response is the uniform
 // {"error":{"code","message"}} envelope.
-func NewHandler(s *Service) http.Handler {
-	mux := http.NewServeMux()
+func NewHandler(s *Service) http.Handler { return newSolo(s).Handler() }
 
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+// newSolo builds the ring of one behind NewHandler.
+func newSolo(s *Service) *Router {
+	rg, _ := ring.New(1, soloSelf) // one non-empty member cannot fail
+	return &Router{self: soloSelf, rf: 1, local: s, solo: true, ring: rg, configured: rg.Members()}
+}
+
+// soloSelf names the only member of NewHandler's ring of one; it never
+// appears on the wire.
+const soloSelf = "self"
+
+func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
+	resp := map[string]string{"status": "ok"}
+	if !rt.solo {
+		resp["self"] = rt.self
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+func (rt *Router) handleDatasets(w http.ResponseWriter, r *http.Request) {
+	if rt.servesHere(r) {
+		writeJSON(w, http.StatusOK, rt.local.Datasets())
+		return
+	}
+	writeJSON(w, http.StatusOK, rt.allDatasets())
+}
+
+func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
+	if rt.servesHere(r) {
+		writeJSON(w, http.StatusOK, rt.local.Stats())
+		return
+	}
+	writeJSON(w, http.StatusOK, rt.aggregateStats())
+}
+
+func (rt *Router) handleDataset(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	ds, ok := rt.local.Dataset(name)
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name))
+		return
+	}
+	writeJSON(w, http.StatusOK, dsInfo(name, ds))
+}
+
+// handleUpload is a write: by the time the client sees the 201, every
+// live replica holds the new version.
+func (rt *Router) handleUpload(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	var q api.UploadQuery
+	if err := api.ParseQuery(r.URL.Query(), &q); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	body := http.MaxBytesReader(w, r.Body, maxUploadBytes)
+	format := q.Format
+	if format == "" && frameRequest(r) {
+		format = "frame"
+	}
+	f32 := q.Precision == api.PrecisionF32
+	var (
+		ds  *geom.Dataset
+		err error
+	)
+	switch format {
+	case "", "csv":
+		ds, err = data.LoadCSV(body)
+	case "binary":
+		ds, err = data.LoadBinary(body)
+	case "frame":
+		// The frame path lands at the target precision directly: f32
+		// frames are kept without the widen/narrow round trip.
+		ds, err = wire.ReadDataset32(body, f32)
+		f32 = false
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("parse upload: %w", err))
+		return
+	}
+	if f32 {
+		// Text and binary decoders produce float64; the requested f32
+		// storage is an explicit (possibly lossy) narrowing.
+		ds = ds.ToFloat32()
+	}
+	info, err := rt.local.PutDataset(name, ds)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	rt.replicateDataset(name)
+	writeJSON(w, http.StatusCreated, info)
+}
+
+// handleAppend is a write: the primary applies the slide, advances the
+// version, and ships the new dataset snapshot before answering.
+func (rt *Router) handleAppend(w http.ResponseWriter, r *http.Request) {
+	var req api.AppendRequest
+	if !decodeJSON(w, r, &req, maxAssignBytes) {
+		return
+	}
+	if len(req.Points) > maxAssignPoints {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("append of %d points exceeds the %d limit; split the request", len(req.Points), maxAssignPoints))
+		return
+	}
+	resp, err := rt.local.AppendPoints(req.Dataset, req.Points)
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	rt.replicateDataset(req.Dataset)
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// handleFit is a write unless the cache answered it: a fresh fit
+// (index-cut included) ships the new model before answering.
+func (rt *Router) handleFit(w http.ResponseWriter, r *http.Request) {
+	var req api.FitRequest
+	if !decodeJSON(w, r, &req, maxFitBytes) {
+		return
+	}
+	fr, err := rt.local.Fit(req.Dataset, req.Algorithm, coreParams(req.Params))
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	if !fr.CacheHit {
+		rt.replicateDataset(req.Dataset)
+	}
+	writeJSON(w, http.StatusOK, api.FitResponse{
+		Dataset:   req.Dataset,
+		CacheHit:  fr.CacheHit,
+		IndexCut:  fr.IndexCut,
+		Model:     api.ModelStats(fr.Model.Stats()),
+		ParamsUse: wireParams(fr.Model.Params()),
 	})
+}
 
-	mux.HandleFunc("GET /v1/datasets", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Datasets())
-	})
-
-	mux.HandleFunc("GET /v1/datasets/{name}", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		ds, ok := s.Dataset(name)
-		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name))
-			return
-		}
-		writeJSON(w, http.StatusOK, dsInfo(name, ds))
-	})
-
-	mux.HandleFunc("PUT /v1/datasets/{name}", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		var q api.UploadQuery
-		if err := api.ParseQuery(r.URL.Query(), &q); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		body := http.MaxBytesReader(w, r.Body, maxUploadBytes)
-		format := q.Format
-		if format == "" && frameRequest(r) {
-			format = "frame"
-		}
-		f32 := q.Precision == api.PrecisionF32
-		var (
-			ds  *geom.Dataset
-			err error
-		)
-		switch format {
-		case "", "csv":
-			ds, err = data.LoadCSV(body)
-		case "binary":
-			ds, err = data.LoadBinary(body)
-		case "frame":
-			// The frame path lands at the target precision directly: f32
-			// frames are kept without the widen/narrow round trip.
-			ds, err = wire.ReadDataset32(body, f32)
-			f32 = false
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("parse upload: %w", err))
-			return
-		}
-		if f32 {
-			// Text and binary decoders produce float64; the requested f32
-			// storage is an explicit (possibly lossy) narrowing.
-			ds = ds.ToFloat32()
-		}
-		info, err := s.PutDataset(name, ds)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, info)
-	})
-
-	mux.HandleFunc("POST /v1/points", func(w http.ResponseWriter, r *http.Request) {
-		var req api.AppendRequest
-		if !decodeJSON(w, r, &req, maxAssignBytes) {
-			return
-		}
-		if len(req.Points) > maxAssignPoints {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("append of %d points exceeds the %d limit; split the request", len(req.Points), maxAssignPoints))
-			return
-		}
-		resp, err := s.AppendPoints(req.Dataset, req.Points)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-
-	mux.HandleFunc("POST /v1/fit", func(w http.ResponseWriter, r *http.Request) {
-		var req api.FitRequest
-		if !decodeJSON(w, r, &req, maxFitBytes) {
-			return
-		}
-		fr, err := s.Fit(req.Dataset, req.Algorithm, coreParams(req.Params))
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeFit(w, req, fr)
-	})
-
-	mux.HandleFunc("POST /v1/assign", func(w http.ResponseWriter, r *http.Request) {
-		var (
-			req api.AssignRequest
-			ok  bool
-		)
-		if frameRequest(r) {
-			req, ok = decodeAssignFrames(w, r)
-		} else {
-			ok = decodeJSON(w, r, &req, maxAssignBytes)
-		}
-		if !ok {
-			return
-		}
-		if len(req.Points) > maxAssignPoints {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("batch of %d points exceeds the %d limit; split the request", len(req.Points), maxAssignPoints))
-			return
-		}
-		labels, fr, err := s.Assign(req.Dataset, req.Algorithm, coreParams(req.Params), req.Points)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeAssign(w, r, labels, fr)
-	})
-
-	mux.HandleFunc("POST /v1/assign/stream", handleAssignStream(s))
-
-	mux.HandleFunc("GET /v1/decision-graph", func(w http.ResponseWriter, r *http.Request) {
-		handleDecisionGraph(s, w, r)
-	})
-
-	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
-		var req api.SweepRequest
-		if !decodeJSON(w, r, &req, maxSweepBytes) {
-			return
-		}
-		if len(req.Settings) > maxSweepSettings {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("sweep of %d settings exceeds the %d limit; split the request", len(req.Settings), maxSweepSettings))
-			return
-		}
-		resp, err := s.Sweep(req)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-
-	mux.HandleFunc("GET /v1/drift", func(w http.ResponseWriter, r *http.Request) {
-		var q api.DriftQuery
-		if err := api.ParseQuery(r.URL.Query(), &q); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		resp, err := s.Drift(q.Dataset, q.Algorithm)
-		if err != nil {
-			writeError(w, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Stats())
-	})
-
-	return mux
+// handleAssign is a read: a fit it triggers stays local and ships on the
+// key's next write or self-heal.
+func (rt *Router) handleAssign(w http.ResponseWriter, r *http.Request) {
+	var (
+		req api.AssignRequest
+		ok  bool
+	)
+	if frameRequest(r) {
+		req, ok = decodeAssignFrames(w, r)
+	} else {
+		ok = decodeJSON(w, r, &req, maxAssignBytes)
+	}
+	if !ok {
+		return
+	}
+	if len(req.Points) > maxAssignPoints {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("batch of %d points exceeds the %d limit; split the request", len(req.Points), maxAssignPoints))
+		return
+	}
+	labels, fr, err := rt.local.Assign(req.Dataset, req.Algorithm, coreParams(req.Params), req.Points)
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	writeAssign(w, r, labels, fr)
 }
 
 // handleDecisionGraph serves GET /v1/decision-graph?dataset=…&dcut=…
 // (&limit=… optional): the (rho, delta) pairs of the decision graph at
 // the requested cut distance, from the dataset's density index — built
-// on first use, re-cut afterwards. The response is JSON by default and
+// on first use, re-cut afterwards. A call that paid the build ships the
+// index to the replicas, whichever codec it answers in: JSON by default,
 // a decision frame sequence when Accept names the frame media type.
-func handleDecisionGraph(s *Service, w http.ResponseWriter, r *http.Request) {
+func (rt *Router) handleDecisionGraph(w http.ResponseWriter, r *http.Request) {
 	var q api.DecisionGraphQuery
 	if err := api.ParseQuery(r.URL.Query(), &q); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp, err := s.DecisionGraph(q.Dataset, q.DCut, q.Limit)
+	resp, err := rt.local.DecisionGraph(q.Dataset, q.DCut, q.Limit)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
+	}
+	if !resp.IndexReused {
+		rt.replicateDataset(q.Dataset)
 	}
 	if !frameResponse(r) {
 		writeJSON(w, http.StatusOK, resp)
@@ -273,6 +280,45 @@ func handleDecisionGraph(s *Service, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", wire.ContentType)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(wire.AppendDecision(nil, resp.Points))
+}
+
+// handleSweep re-cuts many settings off one index; like the decision
+// graph, a sweep that paid the build ships the index.
+func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
+	var req api.SweepRequest
+	if !decodeJSON(w, r, &req, maxSweepBytes) {
+		return
+	}
+	if len(req.Settings) > maxSweepSettings {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("sweep of %d settings exceeds the %d limit; split the request", len(req.Settings), maxSweepSettings))
+		return
+	}
+	resp, err := rt.local.Sweep(req)
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	if !resp.IndexReused {
+		rt.replicateDataset(req.Dataset)
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// handleDrift reports the trackers. They live where the assign traffic
+// lands and refits run only on the primary, so the route pins there.
+func (rt *Router) handleDrift(w http.ResponseWriter, r *http.Request) {
+	var q api.DriftQuery
+	if err := api.ParseQuery(r.URL.Query(), &q); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	resp, err := rt.local.Drift(q.Dataset, q.Algorithm)
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // decodeAssignFrames reads a frame-encoded batch assign body: one header
@@ -332,33 +378,30 @@ func writeAssign(w http.ResponseWriter, r *http.Request, labels []int32, fr FitR
 	_, _ = w.Write(buf)
 }
 
-func writeFit(w http.ResponseWriter, req api.FitRequest, fr FitResult) {
-	writeJSON(w, http.StatusOK, api.FitResponse{
-		Dataset:   req.Dataset,
-		CacheHit:  fr.CacheHit,
-		IndexCut:  fr.IndexCut,
-		Model:     api.ModelStats(fr.Model.Stats()),
-		ParamsUse: wireParams(fr.Model.Params()),
-	})
-}
-
 func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}, limit int64) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, limit), v); err != nil {
 		writeError(w, bodyErrStatus(err), fmt.Errorf("decode request: %w", err))
 		return false
 	}
-	// One JSON object is the whole body: trailing non-whitespace (a second
-	// object, stray text) means the client built the request wrong, and
-	// silently ignoring it would mask the bug. dec.More() alone misses a
-	// trailing close-delimiter, so read one more token: io.EOF is the only
-	// clean outcome.
-	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: trailing data after JSON object"))
-		return false
-	}
 	return true
+}
+
+// decodeStrict decodes one JSON object with unknown fields rejected. One
+// object is the whole input: trailing non-whitespace (a second object,
+// stray text) means the client built the request wrong, and silently
+// ignoring it would mask the bug. dec.More() alone misses a trailing
+// close-delimiter, so read one more token: io.EOF is the only clean
+// outcome.
+func decodeStrict(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after JSON object")
+	}
+	return nil
 }
 
 // bodyErrStatus distinguishes "your body is malformed" (400) from "your

@@ -2,9 +2,13 @@ package service
 
 import (
 	"bytes"
+	"fmt"
+	"net/http"
+	"strconv"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/wire"
 )
 
 // TestIndexShipsToReplicas: once the primary pays a decision-graph
@@ -125,5 +129,61 @@ func TestSelfHealShipsIndex(t *testing.T) {
 	}
 	if _, ok := rs.residentIndex(name, e.version, d.DCut); !ok {
 		t.Fatal("self-heal did not restore the replica's index")
+	}
+}
+
+// TestFrameDecisionGraphShipsIndex: a decision graph answered in the
+// frame codec pays the same index build as the JSON call, and ships it
+// the same way — replication follows the Service result, not the
+// response encoding.
+func TestFrameDecisionGraphShipsIndex(t *testing.T) {
+	h := startRingRF(t, 2, 2, nil)
+	d := data.SSet(2, 400, 9)
+	var csv bytes.Buffer
+	if err := data.SaveCSV(&csv, d.Points); err != nil {
+		t.Fatal(err)
+	}
+	const name = "frames"
+	h.uploadCSV(0, name, csv.Bytes())
+	primary := -1
+	for i, rt := range h.routers {
+		if owners := rt.owners(name); len(owners) > 0 && owners[0] == rt.self {
+			primary = i
+		}
+	}
+	if primary == -1 {
+		t.Fatal("no primary for the key")
+	}
+	replica := 1 - primary
+
+	url := fmt.Sprintf("%s/v1/decision-graph?dataset=%s&dcut=%s&limit=10",
+		h.addrs[primary], name, strconv.FormatFloat(d.DCut, 'g', -1, 64))
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", wire.ContentType)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != wire.ContentType {
+		t.Fatalf("frame decision graph: status %d, content type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	if st := h.svcs[primary].Stats(); st.IndexBuilds != 1 {
+		t.Errorf("primary paid %d builds, want 1", st.IndexBuilds)
+	}
+
+	rs := h.svcs[replica]
+	got, err := rs.DecisionGraph(name, d.DCut, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.IndexReused {
+		t.Error("replica rebuilt the index: the frame-coded build never shipped")
+	}
+	if st := rs.Stats(); st.IndexBuilds != 0 {
+		t.Errorf("replica paid %d builds, want 0 (the index ships)", st.IndexBuilds)
 	}
 }
