@@ -35,20 +35,13 @@ func main() {
 		jsonPath  = flag.String("json", "", "write a machine-readable BENCH_*.json record of the run here")
 		wireJSON  = flag.String("wire-json", "", "write the wire experiment's codec comparison record here (BENCH_wire_protocol.json)")
 		sweepJSON = flag.String("sweep-json", "", "write the sweep experiment's index-vs-fits record here (BENCH_param_sweep.json)")
-		simdJSON  = flag.String("simd-json", "", "write the simd experiment's kernel and fit record here (BENCH_simd_kernels.json)")
 		driftJSON = flag.String("drift-json", "", "write the drift experiment's overhead and refit-swap record here (BENCH_drift.json)")
-		precision = flag.String("precision", "f64", "dataset storage precision for the simd experiment's timed legs: f32 or f64")
 	)
 	flag.Parse()
-	if *precision != "f32" && *precision != "f64" {
-		fmt.Fprintf(os.Stderr, "dpcbench: unknown -precision %q (want f32 or f64)\n", *precision)
-		os.Exit(1)
-	}
 
 	cfg := bench.Config{
 		N: *n, Threads: *threads, Seed: *seed, OutDir: *outdir,
-		WireJSON: *wireJSON, SweepJSON: *sweepJSON, SimdJSON: *simdJSON, DriftJSON: *driftJSON,
-		Precision: *precision,
+		WireJSON: *wireJSON, SweepJSON: *sweepJSON, DriftJSON: *driftJSON,
 	}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {

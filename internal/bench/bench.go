@@ -18,7 +18,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/api"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/geom"
@@ -42,16 +41,9 @@ type Config struct {
 	// SweepJSON, when non-empty, is where the sweep experiment writes
 	// its machine-readable BENCH_param_sweep.json record.
 	SweepJSON string
-	// SimdJSON, when non-empty, is where the simd experiment writes its
-	// machine-readable BENCH_simd_kernels.json record.
-	SimdJSON string
 	// DriftJSON, when non-empty, is where the drift experiment writes
 	// its machine-readable BENCH_drift.json record.
 	DriftJSON string
-	// Precision selects the dataset storage precision for the simd
-	// experiment's timed legs: api.PrecisionF32 or api.PrecisionF64
-	// (empty means f64).
-	Precision string
 	// W receives the printed tables; nil means os.Stdout.
 	W io.Writer
 }
@@ -68,13 +60,6 @@ func (c Config) threads() int {
 		return c.Threads
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (c Config) precision() string {
-	if c.Precision == api.PrecisionF32 {
-		return api.PrecisionF32
-	}
-	return api.PrecisionF64
 }
 
 func (c Config) w() io.Writer {

@@ -90,13 +90,13 @@ func TestFigureExperimentsRenderFiles(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if len(Experiments()) != 21 {
-		t.Errorf("registry has %d experiments, want 21", len(Experiments()))
+	if len(Experiments()) != 20 {
+		t.Errorf("registry has %d experiments, want 20", len(Experiments()))
 	}
 	if _, ok := Lookup("nope"); ok {
 		t.Error("unknown experiment found")
 	}
-	if len(Names()) != 21 {
+	if len(Names()) != 20 {
 		t.Error("Names() incomplete")
 	}
 	for _, e := range Experiments() {

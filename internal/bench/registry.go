@@ -34,7 +34,6 @@ func Experiments() []Experiment {
 		{"service", "Fit-once/assign-many serving latency and cache hit rate", Config.Service},
 		{"wire", "Binary frame codec vs JSON on the assign wire path", Config.Wire},
 		{"sweep", "Parameter sweep: one density index vs K fresh fits", Config.ParamSweep},
-		{"simd", "SIMD kernel vs scalar and parallel vs serial fit", Config.Simd},
 		{"drift", "Drift-tracking assign overhead and background refit swap", Config.Drift},
 	}
 }

@@ -1,57 +1,20 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/partition"
 )
-
-// centerDist returns the distance from p to the center point of cluster
-// label l, or NaN when l is NoCluster — the quantity the drift tracker
-// observes. One O(dim) kernel call on top of the assignment itself.
-func (m *Model) centerDist(p []float64, l int32) float64 {
-	if l == NoCluster {
-		return math.NaN()
-	}
-	return math.Sqrt(geom.SqDistToIdx(m.ds, p, m.res.Centers[l]))
-}
 
 // CenterDist returns the distance from p to the center point of the
 // cluster labeled l, or NaN when l is NoCluster — the quantity a drift
 // tracker observes. One O(dim) kernel call; p must have the model's
 // dimensionality and l must be a label this model produced.
 func (m *Model) CenterDist(p []float64, l int32) float64 {
-	return m.centerDist(p, l)
-}
-
-// AssignAllObserve is AssignAll plus drift observation: when dists is
-// non-nil it must have len(pts) entries, and each is filled with the
-// point's distance to its assigned cluster's center (NaN for noise).
-// With dists nil it is exactly AssignAll. Safe for concurrent use.
-func (m *Model) AssignAllObserve(pts [][]float64, workers int, dists []float64) ([]int32, error) {
-	if dists == nil {
-		return m.AssignAll(pts, workers)
+	if l == NoCluster {
+		return math.NaN()
 	}
-	if len(dists) != len(pts) {
-		return nil, fmt.Errorf("core: %d distance slots for %d points", len(dists), len(pts))
-	}
-	if len(pts) == 0 {
-		return []int32{}, nil
-	}
-	for i, p := range pts {
-		if len(p) != m.ds.Dim {
-			return nil, fmt.Errorf("core: point %d has dimension %d, want %d", i, len(p), m.ds.Dim)
-		}
-	}
-	out := make([]int32, len(pts))
-	partition.DynamicChunked(len(pts), Params{Workers: workers}.workers(), 32, func(i int) {
-		l, _ := m.assigner.Assign(pts[i]) // dims pre-checked above
-		out[i] = l
-		dists[i] = m.centerDist(pts[i], l)
-	})
-	return out, nil
+	return math.Sqrt(geom.SqDistToIdx(m.ds, p, m.res.Centers[l]))
 }
 
 // ReferenceDists samples the training points' distance to their

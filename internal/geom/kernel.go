@@ -15,13 +15,14 @@ import "math"
 //	(s0+s2)+(s1+s3), then the <4 trailing dimensions added
 //	sequentially to the reduced sum.
 //
-// The AVX2 assembly (simd_amd64.s) is this exact operation sequence on
-// one ymm register — VSUBPD/VMULPD/VADDPD per chunk (no FMA: a fused
-// multiply-add rounds once where the Go code rounds twice, which would
-// break bit-identity with the fallback), VEXTRACTF128+VADDPD+VHADDPD
-// for the (s0+s2)+(s1+s3) reduction, scalar tail — so the assembly and
-// the pure-Go fallback return identical bits for every input, and the
-// `noasm` build tag or SetSIMD(false) change speed, never results.
+// The order is kept, rather than a single sequential accumulator,
+// because it is what every persisted DPS1 snapshot, every replica and
+// every density index was computed with: changing it would move
+// distance bits, and with them d_cut ties, labels and shipped models.
+// Each squared term is wrapped in an explicit float64 conversion: the Go
+// spec lets a compiler fuse x*y+z into one FMA, which rounds once where
+// the order above rounds twice, and a conversion forbids that fusion. So
+// the same bits come out on every architecture.
 // Float32 datasets widen each element to float64 before subtracting
 // (exactly, so the f32 kernels agree bitwise with widening the whole
 // row first) and otherwise follow the same order.
@@ -97,51 +98,16 @@ func SqDistToIdxPartial(ds *Dataset, q Point, i int32, limit float64) (float64, 
 	return sqdist64Partial(q, ds.row64(i), limit)
 }
 
-// SqDistIdxScalar is the pre-SIMD sequential kernel — one accumulator,
-// one element at a time — kept only as the baseline the
-// BENCH_simd_kernels.json speedups are measured against. No algorithm
-// calls it.
-func SqDistIdxScalar(ds *Dataset, i, j int32) float64 {
-	if ds.Coords32 != nil {
-		a, b := ds.row32(i), ds.row32(j)
-		var s float64
-		for t := range a {
-			v := float64(a[t]) - float64(b[t])
-			s += v * v
-		}
-		return s
-	}
-	a, b := ds.row64(i), ds.row64(j)
-	var s float64
-	for t := range a {
-		v := a[t] - b[t]
-		s += v * v
-	}
-	return s
-}
-
-// SIMDEnabled reports whether the AVX2 assembly kernels are currently
-// dispatched (false on non-amd64 builds, under the noasm tag, on CPUs
-// without AVX2, or after SetSIMD(false)).
-func SIMDEnabled() bool { return useSIMD }
-
-// SetSIMD switches the assembly kernels on or off, returning the
-// previous setting. Enabling is a no-op when the build or CPU does not
-// support them. Results are bit-identical either way; this exists so
-// benchmarks and equivalence tests can measure and gate the scalar
-// fallback on SIMD-capable hosts. Not synchronized — toggle only while
-// no fits or queries are in flight.
-func SetSIMD(on bool) bool {
-	prev := useSIMD
-	useSIMD = on && simdSupported
-	return prev
-}
+// SIMDEnabled reports whether distances run on vector assembly. They
+// never do: at the paper's dimensions (d <= 8) an AVX2 body bought
+// nothing end to end over the pure-Go kernels in this file, so those are
+// the only implementation. Kept for benchmark records that log it.
+func SIMDEnabled() bool { return false }
 
 // ---------------------------------------------------------------------------
-// Pure-Go canonical kernels. These DEFINE the accumulation order; the
-// assembly mirrors them instruction for instruction.
+// The kernels. Each one spells out the canonical accumulation order.
 
-func sqdist64Go(a, b []float64) float64 {
+func sqdist64(a, b []float64) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
 	n := len(a) &^ 3
@@ -150,15 +116,15 @@ func sqdist64Go(a, b []float64) float64 {
 		d1 := a[t+1] - b[t+1]
 		d2 := a[t+2] - b[t+2]
 		d3 := a[t+3] - b[t+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 	}
 	s := (s0 + s2) + (s1 + s3)
 	for t := n; t < len(a); t++ {
 		d := a[t] - b[t]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -172,10 +138,10 @@ func sqdist64Partial(a, b []float64, limit float64) (float64, bool) {
 		d1 := a[t+1] - b[t+1]
 		d2 := a[t+2] - b[t+2]
 		d3 := a[t+3] - b[t+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 		if s := (s0 + s2) + (s1 + s3); s > limit {
 			return s, false
 		}
@@ -183,7 +149,7 @@ func sqdist64Partial(a, b []float64, limit float64) (float64, bool) {
 	s := (s0 + s2) + (s1 + s3)
 	for t := n; t < len(a); t++ {
 		d := a[t] - b[t]
-		s += d * d
+		s += float64(d * d)
 		if s > limit {
 			return s, false
 		}
@@ -191,7 +157,7 @@ func sqdist64Partial(a, b []float64, limit float64) (float64, bool) {
 	return s, true
 }
 
-func sqdist32Go(a, b []float32) float64 {
+func sqdist32(a, b []float32) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
 	n := len(a) &^ 3
@@ -200,15 +166,15 @@ func sqdist32Go(a, b []float32) float64 {
 		d1 := float64(a[t+1]) - float64(b[t+1])
 		d2 := float64(a[t+2]) - float64(b[t+2])
 		d3 := float64(a[t+3]) - float64(b[t+3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 	}
 	s := (s0 + s2) + (s1 + s3)
 	for t := n; t < len(a); t++ {
 		d := float64(a[t]) - float64(b[t])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -222,10 +188,10 @@ func sqdist32Partial(a, b []float32, limit float64) (float64, bool) {
 		d1 := float64(a[t+1]) - float64(b[t+1])
 		d2 := float64(a[t+2]) - float64(b[t+2])
 		d3 := float64(a[t+3]) - float64(b[t+3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 		if s := (s0 + s2) + (s1 + s3); s > limit {
 			return s, false
 		}
@@ -233,7 +199,7 @@ func sqdist32Partial(a, b []float32, limit float64) (float64, bool) {
 	s := (s0 + s2) + (s1 + s3)
 	for t := n; t < len(a); t++ {
 		d := float64(a[t]) - float64(b[t])
-		s += d * d
+		s += float64(d * d)
 		if s > limit {
 			return s, false
 		}
@@ -241,7 +207,7 @@ func sqdist32Partial(a, b []float32, limit float64) (float64, bool) {
 	return s, true
 }
 
-func sqdistMixedGo(q []float64, b []float32) float64 {
+func sqdistMixed(q []float64, b []float32) float64 {
 	b = b[:len(q)]
 	var s0, s1, s2, s3 float64
 	n := len(q) &^ 3
@@ -250,15 +216,15 @@ func sqdistMixedGo(q []float64, b []float32) float64 {
 		d1 := q[t+1] - float64(b[t+1])
 		d2 := q[t+2] - float64(b[t+2])
 		d3 := q[t+3] - float64(b[t+3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 	}
 	s := (s0 + s2) + (s1 + s3)
 	for t := n; t < len(q); t++ {
 		d := q[t] - float64(b[t])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -272,10 +238,10 @@ func sqdistMixedPartial(q []float64, b []float32, limit float64) (float64, bool)
 		d1 := q[t+1] - float64(b[t+1])
 		d2 := q[t+2] - float64(b[t+2])
 		d3 := q[t+3] - float64(b[t+3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 		if s := (s0 + s2) + (s1 + s3); s > limit {
 			return s, false
 		}
@@ -283,7 +249,7 @@ func sqdistMixedPartial(q []float64, b []float32, limit float64) (float64, bool)
 	s := (s0 + s2) + (s1 + s3)
 	for t := n; t < len(q); t++ {
 		d := q[t] - float64(b[t])
-		s += d * d
+		s += float64(d * d)
 		if s > limit {
 			return s, false
 		}

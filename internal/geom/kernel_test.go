@@ -24,42 +24,82 @@ func randDataset32(t *testing.T, n, dim int, seed int64) *Dataset {
 	return randDataset(t, n, dim, seed).ToFloat32()
 }
 
-// TestKernelAsmMatchesGo locks the tentpole contract: the dispatched
-// kernel (AVX2 assembly where available) and the pure-Go canonical
-// kernel return identical bits for every dimension, on both precisions,
-// including the mixed query×row form. On builds without assembly both
-// legs run the same code and the test is a tautology — the CI noasm leg
-// still runs it so the fallback cannot rot.
-func TestKernelAsmMatchesGo(t *testing.T) {
-	if !SIMDEnabled() {
-		t.Log("SIMD not available on this build/CPU; comparing Go against itself")
+// canonicalSqDist writes out the documented accumulation order with
+// none of the kernel's unrolling: lane t%4 sums the squared differences
+// of the leading multiple-of-4 dimensions, the lanes reduce as
+// (s0+s2)+(s1+s3), then the trailing dimensions add sequentially.
+func canonicalSqDist(a, b []float64) float64 {
+	var lane [4]float64
+	n := len(a) - len(a)%4
+	for t := 0; t < n; t++ {
+		d := a[t] - b[t]
+		lane[t%4] += float64(d * d)
 	}
+	s := (lane[0] + lane[2]) + (lane[1] + lane[3])
+	for t := n; t < len(a); t++ {
+		d := a[t] - b[t]
+		s += float64(d * d)
+	}
+	return s
+}
+
+// TestKernelCanonicalOrder pins every kernel form to the canonical
+// formula bit for bit. Persisted snapshots, replicas and density indexes
+// all hold distances in this order, so any reordering of the sum must
+// fail here. The data spans seven orders of magnitude so the order is
+// observable: the test also requires one pair on which a plain
+// sequential sum differs from the formula.
+func TestKernelCanonicalOrder(t *testing.T) {
+	orderVisible := false
 	for dim := 1; dim <= 67; dim++ {
-		ds := randDataset(t, 8, dim, int64(1000+dim))
+		ds := randDataset(t, 8, dim, int64(4000+dim))
+		ds32 := ds.ToFloat32()
+		for i := int32(0); i < 8; i++ {
+			for j := int32(0); j < 8; j++ {
+				a, b := ds.At(int(i)), ds.At(int(j))
+				want := canonicalSqDist(a, b)
+				if got := SqDistIdx(ds, i, j); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("dim %d f64 (%d,%d): kernel %v != canonical %v", dim, i, j, got, want)
+				}
+				if got, ok := SqDistIdxPartial(ds, i, j, math.Inf(1)); !ok || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("dim %d f64 partial (%d,%d): kernel %v != canonical %v", dim, i, j, got, want)
+				}
+				a32, b32 := ds32.At(int(i)), ds32.At(int(j))
+				want32 := canonicalSqDist(a32, b32)
+				if got := SqDistIdx(ds32, i, j); math.Float64bits(got) != math.Float64bits(want32) {
+					t.Fatalf("dim %d f32 (%d,%d): kernel %v != canonical %v", dim, i, j, got, want32)
+				}
+				if got, ok := SqDistToIdxPartial(ds32, a32, j, math.Inf(1)); !ok || math.Float64bits(got) != math.Float64bits(want32) {
+					t.Fatalf("dim %d mixed partial (%d,%d): kernel %v != canonical %v", dim, i, j, got, want32)
+				}
+				var seq float64
+				for k := range a {
+					d := a[k] - b[k]
+					seq += float64(d * d)
+				}
+				if seq != want {
+					orderVisible = true
+				}
+			}
+		}
+	}
+	if !orderVisible {
+		t.Fatal("sequential and canonical sums agree on every pair; the data cannot detect a reordered kernel")
+	}
+}
+
+// TestKernelPrecisionForms checks that the f32 and mixed query×row
+// kernels return the same bits as the f64 kernel over widened rows, for
+// every dimension: float32→float64 is exact, so the canonical order sums
+// the same values whichever form reads them.
+func TestKernelPrecisionForms(t *testing.T) {
+	for dim := 1; dim <= 67; dim++ {
 		ds32 := randDataset32(t, 8, dim, int64(2000+dim))
 		for i := int32(0); i < 8; i++ {
 			for j := int32(0); j < 8; j++ {
-				got := SqDistIdx(ds, i, j)
-				want := sqdist64Go(ds.row64(i), ds.row64(j))
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("dim %d f64 (%d,%d): asm %v != go %v", dim, i, j, got, want)
-				}
 				got32 := SqDistIdx(ds32, i, j)
-				want32 := sqdist32Go(ds32.row32(i), ds32.row32(j))
-				if math.Float64bits(got32) != math.Float64bits(want32) {
-					t.Fatalf("dim %d f32 (%d,%d): asm %v != go %v", dim, i, j, got32, want32)
-				}
-				q := ds32.At(int(i))
-				gotm := SqDistToIdx(ds32, q, j)
-				wantm := sqdistMixedGo(q, ds32.row32(j))
-				if math.Float64bits(gotm) != math.Float64bits(wantm) {
-					t.Fatalf("dim %d mixed (%d,%d): asm %v != go %v", dim, i, j, gotm, wantm)
-				}
-				// Widening the f32 row first and running the f64 kernel
-				// must agree with the direct f32 kernel: float32→float64
-				// is exact, so the same canonical order sums the same
-				// values.
-				wide := sqdist64Go(ds32.At(int(i)), ds32.At(int(j)))
+				gotm := SqDistToIdx(ds32, ds32.At(int(i)), j)
+				wide := sqdist64(ds32.At(int(i)), ds32.At(int(j)))
 				if math.Float64bits(got32) != math.Float64bits(wide) {
 					t.Fatalf("dim %d f32-vs-widened (%d,%d): %v != %v", dim, i, j, got32, wide)
 				}
@@ -68,34 +108,6 @@ func TestKernelAsmMatchesGo(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestKernelSetSIMDToggle proves SetSIMD changes speed, never results:
-// with the assembly forced off, every kernel returns the same bits it
-// returned dispatched.
-func TestKernelSetSIMDToggle(t *testing.T) {
-	ds := randDataset(t, 16, 33, 42)
-	type pair struct{ i, j int32 }
-	pairs := []pair{{0, 1}, {2, 15}, {7, 7}, {14, 3}}
-	on := make([]float64, len(pairs))
-	for k, p := range pairs {
-		on[k] = SqDistIdx(ds, p.i, p.j)
-	}
-	prev := SetSIMD(false)
-	defer SetSIMD(prev)
-	if SIMDEnabled() {
-		t.Fatal("SIMDEnabled true after SetSIMD(false)")
-	}
-	for k, p := range pairs {
-		off := SqDistIdx(ds, p.i, p.j)
-		if math.Float64bits(on[k]) != math.Float64bits(off) {
-			t.Fatalf("pair %v: simd %v != scalar %v", p, on[k], off)
-		}
-	}
-	SetSIMD(prev)
-	if SIMDEnabled() != prev {
-		t.Fatalf("SetSIMD did not restore previous state %v", prev)
 	}
 }
 
@@ -157,24 +169,6 @@ func TestKernelPointForms(t *testing.T) {
 			to := SqDistToIdx(ds, ds.At(int(i)), j)
 			if math.Float64bits(idx) != math.Float64bits(to) {
 				t.Fatalf("(%d,%d): SqDistToIdx %v != SqDistIdx %v", i, j, to, idx)
-			}
-		}
-	}
-}
-
-// TestKernelScalarBaselineClose sanity-checks the retained sequential
-// baseline: not bit-equal (different order) but within a few ulps of
-// the canonical kernel for well-conditioned data.
-func TestKernelScalarBaselineClose(t *testing.T) {
-	ds := randDataset(t, 4, 48, 11)
-	for i := int32(0); i < 4; i++ {
-		for j := int32(0); j < 4; j++ {
-			a, b := SqDistIdx(ds, i, j), SqDistIdxScalar(ds, i, j)
-			if a == 0 && b == 0 {
-				continue
-			}
-			if rel := math.Abs(a-b) / math.Max(a, b); rel > 1e-12 {
-				t.Fatalf("(%d,%d): canonical %v vs scalar %v differ rel %g", i, j, a, b, rel)
 			}
 		}
 	}

@@ -339,10 +339,15 @@ func (c *Client) AssignFrames(req api.FitRequest, pts [][]float64, float32w bool
 // once any byte has moved, the stream is committed and a failure is
 // terminal. ctx cancels the exchange at any point (a relay hop passes
 // its inbound request context, so a client hanging up tears down the
-// upstream leg too). The caller owns the response body.
+// upstream leg too). The caller owns the response body. Like
+// http.Client.Do, stream closes body on every path when it is an
+// io.Closer.
 func (c *Client) stream(ctx context.Context, method, path, contentType, accept string, body io.Reader, forwarded bool, extra http.Header) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
+		if bc, ok := body.(io.Closer); ok {
+			bc.Close()
+		}
 		return nil, err
 	}
 	if contentType != "" {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -444,6 +445,93 @@ func TestChaosStreamNoRetryAfterPartialSend(t *testing.T) {
 	}
 	if got := cr.counters[replica].streams.Load(); got != streamsBefore+1 {
 		t.Fatalf("zero-consumed failover did not reach the replica exactly once (%d)", got-streamsBefore)
+	}
+}
+
+// lateReadBody is an inbound request body that trickles its bytes out
+// and counts every Read that was in flight when, or started after, the
+// handler returned.
+type lateReadBody struct {
+	r     io.Reader
+	chunk int
+	delay time.Duration
+
+	mu       sync.Mutex
+	active   int
+	returned bool
+	late     int
+}
+
+func (b *lateReadBody) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	b.active++
+	if b.returned {
+		b.late++
+	}
+	b.mu.Unlock()
+	defer func() {
+		b.mu.Lock()
+		b.active--
+		b.mu.Unlock()
+	}()
+	time.Sleep(b.delay)
+	if len(p) > b.chunk {
+		p = p[:b.chunk]
+	}
+	return b.r.Read(p)
+}
+
+func (b *lateReadBody) Close() error { return nil }
+
+func (b *lateReadBody) handlerReturned() {
+	b.mu.Lock()
+	b.returned = true
+	b.late += b.active
+	b.mu.Unlock()
+}
+
+func (b *lateReadBody) lateReads() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.late
+}
+
+// TestRelayStreamNoBodyReadAfterReturn: once a handler returns, the
+// server owns the inbound body again (it drains it, then reads the next
+// request off the connection), so a stream relay must not return while
+// its upstream transport can still read that body. Here the replica
+// rejects the stream's unknown dataset right after its header line; the
+// relay copies that answer back while the transport's body writer is
+// still sending the inbound stream.
+func TestRelayStreamNoBodyReadAfterReturn(t *testing.T) {
+	cr := startChaosRing(t)
+	name, _, nonOwner := cr.chaosKey(t)
+	header, err := json.Marshal(api.FitRequest{Dataset: name, Algorithm: "Ex-DPC",
+		Params: api.Params{DCut: 1, RhoMin: 1, DeltaMin: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := make([][]float64, 20000)
+	for i := range pts {
+		pts[i] = []float64{float64(i), float64(2 * i)}
+	}
+	body := &lateReadBody{
+		r:     bytes.NewReader(append(append(header, '\n'), ndjsonPoints(t, pts)...)),
+		chunk: 1 << 10,
+		delay: 5 * time.Millisecond,
+	}
+	w := httptest.NewRecorder()
+	cr.routers[nonOwner].Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/assign/stream", body))
+	body.handlerReturned()
+	if w.Code != http.StatusNotFound {
+		t.Fatalf("relay answered %d, want the replica's 404: %s", w.Code, w.Body.String())
+	}
+	if w.Header().Get("Connection") != "close" {
+		t.Error("relayed rejection left the inbound connection open over an unread body")
+	}
+	time.Sleep(100 * time.Millisecond) // give a straggling body writer time to show itself
+	if n := body.lateReads(); n > 0 {
+		t.Fatalf("%d inbound body read(s) overlapped or followed the handler's return", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -564,17 +565,28 @@ func (rt *Router) relaySeq(w http.ResponseWriter, r *http.Request, targets []str
 	writeError(w, http.StatusBadGateway, lastErr)
 }
 
-// countingReader counts the bytes a failed stream attempt consumed — the
-// fact that decides whether failover is allowed.
+// countingReader is the inbound stream as one upstream attempt sends
+// it. It counts the bytes the attempt consumed, the fact that decides
+// whether failover is allowed, and closes done when the transport closes
+// it. The transport always closes a request body, but possibly from its
+// own writer goroutine after RoundTrip returned, and it may read the body
+// until then.
 type countingReader struct {
-	r io.Reader
-	n atomic.Int64
+	r    io.Reader
+	n    atomic.Int64
+	once sync.Once
+	done chan struct{}
 }
 
 func (cr *countingReader) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
 	cr.n.Add(int64(n))
 	return n, err
+}
+
+func (cr *countingReader) Close() error {
+	cr.once.Do(func() { close(cr.done) })
+	return nil
 }
 
 // relayStream pipes a streaming assign to a live replica of the key: the
@@ -591,9 +603,24 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // silent resend. If the replica dies after the 200 went out, the failure
 // arrives the only way left: a terminal error record in the response's
 // codec.
+//
+// The relay never returns while an upstream transport can still read the
+// inbound body: once the handler returns, the server reads that body
+// itself. Each return cancels the upstream leg and waits for the last
+// attempt's transport to close its body. Only a relayed 200 keeps the
+// inbound connection open (see routeStream).
 func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []string, body io.Reader) {
 	rt.forwarded.Add(1)
-	cr := &countingReader{r: body}
+	// The inbound request context cancels the upstream leg when the
+	// client hangs up, so an abandoned stream cannot pin two connections.
+	ctx, cancel := context.WithCancel(r.Context())
+	var cr *countingReader
+	defer func() {
+		cancel()
+		if cr != nil {
+			<-cr.done
+		}
+	}()
 	var (
 		resp    *http.Response
 		lastErr error
@@ -605,8 +632,6 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []
 			continue
 		}
 		var err error
-		// The inbound request context cancels the upstream leg when the
-		// client hangs up, so an abandoned stream cannot pin two connections.
 		// Encoding headers travel verbatim: the relay never re-compresses —
 		// gzip bodies pass through as opaque bytes. An explicit
 		// Accept-Encoding also disables the transport's transparent gzip,
@@ -623,12 +648,16 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []
 		}
 		// Query knobs (?chunk=) travel with the hop so the serving replica
 		// honors them exactly as it would on a direct request.
-		resp, err = peer.stream(r.Context(), r.Method, r.URL.RequestURI(),
+		cr = &countingReader{r: body, done: make(chan struct{})}
+		resp, err = peer.stream(ctx, r.Method, r.URL.RequestURI(),
 			r.Header.Get("Content-Type"), r.Header.Get("Accept"), cr, true, enc)
 		if err == nil {
 			target = o
 			break
 		}
+		// The failed attempt's transport is done with the body once it
+		// closes it; only then is the consumed count final.
+		<-cr.done
 		rt.forwardErrors.Add(1)
 		lastErr = fmt.Errorf("shard %s unreachable: %w", o, err)
 		if cr.n.Load() > 0 {
@@ -652,6 +681,9 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request, targets []
 		ct = "application/json"
 	}
 	w.Header().Set("Content-Type", ct)
+	if resp.StatusCode == http.StatusOK {
+		w.Header().Del("Connection") // the replica reads the stream to EOF (see routeStream)
+	}
 	gzResp := false
 	if ce := resp.Header.Get("Content-Encoding"); ce != "" {
 		w.Header().Set("Content-Encoding", ce)

@@ -192,6 +192,13 @@ func (rt *Router) routeStream(w http.ResponseWriter, r *http.Request, serve stre
 	// body at the first response write unless full duplex is on. (HTTP/2
 	// is duplex natively and reports unsupported.)
 	_ = http.NewResponseController(w).EnableFullDuplex()
+	// Until the stream answers 200, any answer rejects it and leaves the
+	// body unread, so the connection closes after it (a 200 lifts this).
+	// Kept open, net/http would drain the unread full-duplex body after
+	// the handler returned, and that drain's background read races the
+	// server's read of the next request ("invalid concurrent Body.Read
+	// call").
+	w.Header().Set("Connection", "close")
 	var sq api.StreamQuery
 	if err := api.ParseQuery(r.URL.Query(), &sq); err != nil {
 		writeError(w, http.StatusBadRequest, err)

@@ -705,19 +705,14 @@ func (s *Service) Assign(dataset, algorithm string, p core.Params, pts [][]float
 // quantile sketch, one tracker lock per chunk — and kicks the
 // background refit when this chunk trips the tracker.
 func (s *Service) assignChunk(m *core.Model, obs *driftObs, pts [][]float64) ([]int32, error) {
-	if obs == nil || obs.tracker == nil {
-		labels, err := m.AssignAll(pts, s.opts.Workers)
-		if err != nil {
-			return nil, err
-		}
-		s.pointsAssigned.Add(int64(len(pts)))
-		return labels, nil
-	}
 	labels, err := m.AssignAll(pts, s.opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 	s.pointsAssigned.Add(int64(len(pts)))
+	if obs == nil || obs.tracker == nil {
+		return labels, nil
+	}
 	var halo int64
 	for _, l := range labels {
 		if l == core.NoCluster {

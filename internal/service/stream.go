@@ -383,6 +383,7 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request, chunk int
 		emitter = newNDJSONEmitter(out)
 	}
 	w.Header().Set("Content-Type", emitter.contentType())
+	w.Header().Del("Connection") // this stream reads its body to EOF (see routeStream)
 	w.WriteHeader(http.StatusOK)
 	// Flush the 200 now: a full-duplex client is allowed to wait for
 	// the status before it commits to streaming the whole body.

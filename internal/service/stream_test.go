@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/api"
@@ -185,6 +187,50 @@ func TestStreamAssignPreStreamErrors(t *testing.T) {
 	huge := `{"dataset":"` + strings.Repeat("x", maxStreamLineBytes) + `"}`
 	if code, _ := post(huge); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized header line: code=%d, want 413", code)
+	}
+}
+
+// panicLog counts the recovered handler panics a server logs.
+type panicLog struct{ n atomic.Int64 }
+
+func (p *panicLog) Write(b []byte) (int, error) {
+	if bytes.Contains(b, []byte("panic serving")) {
+		p.n.Add(1)
+	}
+	return len(b), nil
+}
+
+// TestStreamRejectionClosesConnection: a stream rejected before it
+// answers 200 leaves its body unread. Kept alive, the full-duplex
+// connection would have that body drained after the handler returned,
+// and net/http races the drain's background read against reading the
+// next request: a recovered "invalid concurrent Body.Read call" panic
+// and a dropped connection. The rejection must close the connection
+// instead.
+func TestStreamRejectionClosesConnection(t *testing.T) {
+	ts := httptest.NewUnstartedServer(NewHandler(New(Options{Workers: 1})))
+	panics := &panicLog{}
+	ts.Config.ErrorLog = log.New(panics, "", 0)
+	ts.Start()
+	defer ts.Close()
+	header := `{"dataset":"nope","algorithm":"Ex-DPC","params":{"dcut":1,"delta_min":2}}` + "\n"
+	body := append([]byte(header), bytes.Repeat([]byte("[1,2]\n"), 15000)...)
+	for i := 0; i < 20; i++ {
+		// A reader the transport cannot size, so the body goes chunked
+		// like a live stream's.
+		resp, err := http.Post(ts.URL+"/v1/assign/stream", ndjsonContentType, io.MultiReader(bytes.NewReader(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || !resp.Close {
+			t.Fatalf("unknown-dataset stream: status %d, Connection: close %v; want 404 and close", resp.StatusCode, resp.Close)
+		}
+	}
+	ts.Close() // waits for every connection, so every panic is logged
+	if n := panics.n.Load(); n > 0 {
+		t.Fatalf("server recovered %d handler panic(s)", n)
 	}
 }
 
