@@ -55,14 +55,16 @@ e2e-stream:
 
 # bench runs the memory-layout micro-benchmarks (flat Dataset vs row
 # slices; committed baseline in BENCH_flat_layout.json), the serving
-# layer benchmarks (cached fit, assign batch, snapshot cold start), and
-# the param-sweep experiment (one density index vs K fresh fits;
-# committed record in BENCH_param_sweep.json). SWEEPN sizes the sweep
-# dataset; CI smoke-runs it small.
+# layer benchmarks (cached fit, assign batch, snapshot cold start), the
+# density-index re-cut (a noise-heavy AirlineLike window beside a dense
+# S2 set), and the param-sweep experiment (one density index vs K fresh
+# fits; committed record in BENCH_param_sweep.json). SWEEPN sizes the
+# sweep dataset; CI smoke-runs it small.
 SWEEPN ?= 20000
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSqDist|ExDPC(Rows|Flat)' -benchmem -benchtime=$(BENCHTIME) .
 	$(GO) test -run '^$$' -bench 'BenchmarkService' -benchmem -benchtime=$(BENCHTIME) ./internal/service
+	$(GO) test -run '^$$' -bench 'BenchmarkCut' -benchmem -benchtime=$(BENCHTIME) ./internal/densindex
 	$(GO) run ./cmd/dpcbench -exp sweep -n $(SWEEPN)
 	$(GO) run ./cmd/dpcbench -exp drift
 

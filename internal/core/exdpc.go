@@ -17,12 +17,12 @@ import (
 //
 // Dependent points use the incremental-kd-tree idea: destroy the tree,
 // sort points by descending density, and find each point's nearest
-// neighbor among the higher-density points. The paper runs this as a
-// serial query-then-insert loop, the scalability limitation its Figure 9
-// exposes and Approx-DPC removes; here it runs in parallel over
-// fixed-size blocks of the density order — each point queries a tree
-// frozen at its block's start, then scans the denser members of its own
-// block — so the result stays exact and identical for every worker count.
+// neighbor among the higher-density points (TreeDependents). The paper
+// runs this as a serial query-then-insert loop, the scalability
+// limitation its Figure 9 exposes and Approx-DPC removes; here it runs in
+// parallel over fixed-size blocks of the density order, and the result —
+// exact-distance ties included — is bit-identical to Scan's for every
+// worker count.
 type ExDPC struct{}
 
 // Name implements Algorithm.
@@ -58,52 +58,64 @@ func (ExDPC) ClusterDataset(ds *geom.Dataset, p Params) (*Result, error) {
 	})
 	res.Timing.Rho = time.Since(start)
 
-	// Dependent points: destroy K, then find each point's nearest
-	// higher-density point in descending density order. The serial
-	// query-then-insert loop is the scalability limitation Figure 9
-	// exposes; here it is parallelized without giving up exactness by
-	// processing the density order in fixed-size blocks. Every point of
-	// a block queries the frozen tree (holding exactly the points of all
-	// earlier blocks) concurrently, then refines against the denser
-	// members of its own block — precisely the points the frozen tree is
-	// missing — with an early-exit kernel scan over at most depBlock-1
-	// candidates; finally the whole block is inserted. Each point still
-	// finds its true dependent point, and because the block size is a
-	// constant and point k's answer depends only on the frozen tree and
-	// block[:k], the labels are byte-identical for every worker count
-	// (Workers=1 runs the same code). On exact-distance ties the winner
-	// can differ from the old one-insert-per-query loop's choice — the
-	// same degenerate duplicate-distance class the density index
-	// documents.
+	// Dependent points: destroy K, then search a tree grown in
+	// descending density order.
 	start = time.Now()
-	order := densityOrder(res.Rho, workers)
-	tree = kdtree.New(ds) // "destroy K"
-	res.Delta[order[0]] = math.Inf(1)
-	res.Dep[order[0]] = NoDependent
-	tree.Insert(order[0])
-	const depBlock = 256
-	for lo := 1; lo < n; lo += depBlock {
-		hi := min(lo+depBlock, n)
-		block := order[lo:hi]
-		partition.DynamicChunked(len(block), workers, 4, func(k int) {
-			i := block[k]
-			best, bestSq := tree.NN(ds.At(int(i)))
-			for _, j := range block[:k] {
-				if s, ok := geom.SqDistIdxPartial(ds, i, j, bestSq); ok && s < bestSq {
-					bestSq, best = s, j
-				}
-			}
-			res.Dep[i] = best
-			res.Delta[i] = math.Sqrt(bestSq)
-		})
-		for _, i := range block {
-			tree.Insert(i)
-		}
-	}
+	TreeDependents(ds, densityOrder(res.Rho, workers), nil, res.Delta, res.Dep, workers)
 	res.Timing.Delta = time.Since(start)
 
 	start = time.Now()
 	finalize(res, p)
 	res.Timing.Label = time.Since(start)
 	return res, nil
+}
+
+// depBlock is the density-order block size of TreeDependents. It is a
+// constant, not a function of the worker count, so every worker count
+// sees the same frozen trees.
+const depBlock = 256
+
+// TreeDependents finds the dependent point (Definition 2) of every point
+// i with need[i] — of every point when need is nil — writing its distance
+// to delta[i] and its id to dep[i] and leaving the other entries alone.
+// order is the density order (DensityOrder); the peak order[0] gets +Inf
+// and NoDependent.
+//
+// It is Ex-DPC's incremental kd-tree search, parallelized without giving
+// up exactness: the density order is walked in fixed-size blocks; every
+// needed point of a block concurrently queries the tree frozen at the
+// block's start (exactly the points of all earlier blocks), then refines
+// against the denser members of its own block — precisely the points
+// the frozen tree is missing — with an early-exit kernel scan; finally
+// the whole block is inserted. Exact squared-distance ties go to the
+// earliest point in density order (kdtree.NNRank inside the tree, the
+// in-order strict scan inside the block), which is scanDelta's rule, so
+// the answers are bit-identical to the brute-force scan's.
+func TreeDependents(ds *geom.Dataset, order []int32, need []bool, delta []float64, dep []int32, workers int) {
+	n := len(order)
+	rank := make([]int32, ds.N)
+	for r, i := range order {
+		rank[i] = int32(r)
+	}
+	tree := kdtree.New(ds)
+	for lo := 0; lo < n; lo += depBlock {
+		block := order[lo:min(lo+depBlock, n)]
+		partition.DynamicChunked(len(block), workers, 4, func(k int) {
+			i := block[k]
+			if need != nil && !need[i] {
+				return
+			}
+			best, bestSq := tree.NNRank(ds.At(int(i)), rank)
+			for _, j := range block[:k] {
+				if s, ok := geom.SqDistIdxPartial(ds, i, j, bestSq); ok && s < bestSq {
+					bestSq, best = s, j
+				}
+			}
+			dep[i] = best
+			delta[i] = math.Sqrt(bestSq)
+		})
+		for _, i := range block {
+			tree.Insert(i)
+		}
+	}
 }

@@ -3,9 +3,10 @@ package core
 // This file exports the shared post-density steps of the framework for
 // index-backed construction: a parameter-flexible density index (see
 // internal/densindex) re-derives Rho/Delta/Dep for a new parameter
-// setting without recomputing distances, then needs exactly the same
-// ordering, tie-breaking, and finalization the algorithms use so its
-// labels are byte-identical to a fresh fit. Restore then freezes the
+// setting from stored neighbor lists (falling back to TreeDependents for
+// points whose list holds no denser neighbor), then needs exactly the
+// same ordering, tie-breaking, and finalization the algorithms use so
+// its labels are byte-identical to a fresh fit. Restore then freezes the
 // re-cut Result into a servable Model.
 
 // Finalize derives Centers and Labels from res.Rho/Delta/Dep under p

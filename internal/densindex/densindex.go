@@ -2,20 +2,25 @@
 // density-peaks clustering, after the FINEX idea (index once, re-cut per
 // parameter setting): one per-dataset structure from which density rho,
 // dependent distance delta, the decision graph, and full label vectors
-// for any d_cut up to a build-time ceiling are derived with zero
-// distance recomputation.
+// for any d_cut up to a build-time ceiling are derived without
+// refitting.
 //
 // The structure is a CSR adjacency of every point's neighbors within
 // DCutMax, each list sorted by ascending squared distance: rho at any
 // d_cut <= DCutMax is a binary search (the strict count of stored
 // neighbors closer than d_cut, plus self and the framework jitter), and
-// delta/dep fall out of one ordered scan of the same lists, with a
-// brute-force fallback only for points that are local density maxima at
-// the DCutMax scale. Stored squared distances come straight out of the
-// kd-tree's full dimension-order accumulation — the same float
-// operations, in the same order, as the Scan kernels — so a re-cut's
-// Rho/Delta/Dep (and therefore its labels) are byte-identical to a
-// fresh fit of the covered algorithms.
+// delta/dep fall out of one ordered scan of the same lists for every
+// point that has a higher-density neighbor within DCutMax. The rest —
+// the density peak, and every point whose higher-density points all lie
+// at least DCutMax away, which on noisy data is mostly the sparse
+// background at the bottom of the density order and can be a third of
+// the points — recompute their dependents with Ex-DPC's kd-tree search
+// (core.TreeDependents). Stored squared distances come straight out of
+// the kd-tree's full dimension-order accumulation — the same float
+// operations, in the same order, as the Scan kernels — and both paths
+// break exact-distance ties toward the earliest point in density order,
+// Scan's rule, so a re-cut's Rho/Delta/Dep (and therefore its labels)
+// are byte-identical to a fresh fit of the covered algorithms.
 //
 // Covered algorithms: Scan, R-tree + Scan, and Ex-DPC — the framework's
 // exact algorithms, which share the strict-threshold density of
@@ -323,17 +328,19 @@ func (x *Index) rho(dcut float64, workers int) []float64 {
 	return out
 }
 
-// deltaDep derives delta and dep from a density vector. For each
-// non-peak point the dependent is found in its stored list: the nearest
-// stored neighbor of higher density is the true nearest higher-density
-// point, because any closer higher-density point would itself be stored
-// (all pairs within dcMax are). Ties on squared distance resolve to the
-// earliest-in-density-order candidate, exactly like the framework's
-// scanDelta; tying with an unstored point is impossible (unstored
-// means >= dcMax^2, stored means < dcMax^2). Points with no stored
-// higher-density neighbor — local density maxima at the dcMax scale —
-// fall back to the scanDelta brute-force scan, which replicates its
-// float operations verbatim.
+// deltaDep derives delta and dep from a density vector. A point with a
+// higher-density neighbor in its stored list takes its dependent from
+// the list: the nearest stored neighbor of higher density is the true
+// nearest higher-density point, because any closer higher-density point
+// would itself be stored (all pairs within dcMax are). Ties on squared
+// distance resolve to the earliest-in-density-order candidate, exactly
+// like the framework's scanDelta; tying with an unstored point is
+// impossible (unstored means >= dcMax^2, stored means < dcMax^2). Every
+// other point — the density peak, and every point whose denser points
+// are all at least dcMax away, which on noisy data is mostly the
+// isolated background at the bottom of the density order — takes
+// core.TreeDependents, Ex-DPC's kd-tree search, under the same tie rule.
+// That search is the only place a cut touches raw coordinates.
 func (x *Index) deltaDep(rho []float64, workers int) (delta []float64, dep []int32) {
 	n := x.ds.N
 	order := core.DensityOrder(rho, workers)
@@ -343,11 +350,17 @@ func (x *Index) deltaDep(rho []float64, workers int) (delta []float64, dep []int
 	}
 	delta = make([]float64, n)
 	dep = make([]int32, n)
-	peak := order[0]
-	delta[peak] = math.Inf(1)
-	dep[peak] = core.NoDependent
-	partition.DynamicChunked(n-1, workers, 8, func(k int) {
-		r := k + 1
+	need := x.listDependents(order, rank, delta, dep, workers)
+	core.TreeDependents(x.ds, order, need, delta, dep, workers)
+	return delta, dep
+}
+
+// listDependents answers every point whose stored list holds a
+// higher-density neighbor and returns the mask of the points it could
+// not answer.
+func (x *Index) listDependents(order, rank []int32, delta []float64, dep []int32, workers int) (need []bool) {
+	need = make([]bool, len(order))
+	partition.DynamicChunked(len(order), workers, 8, func(r int) {
 		i := order[r]
 		lo, hi := x.start[i], x.start[i+1]
 		myRank := rank[i]
@@ -370,23 +383,13 @@ func (x *Index) deltaDep(rho []float64, workers int) (delta []float64, dep []int
 			}
 		}
 		if best == core.NoDependent {
-			// Local maximum at the dcMax scale: scan all higher-density
-			// points the way scanDelta does. This is the only place a cut
-			// touches raw coordinates.
-			for _, j := range order[:r] {
-				if s, ok := geom.SqDistIdxPartial(x.ds, i, j, bestSq); ok && s < bestSq {
-					bestSq = s
-					best = j
-				}
-			}
-			delta[i] = math.Sqrt(bestSq)
-			dep[i] = best
+			need[i] = true
 			return
 		}
 		delta[i] = math.Sqrt(bestSq)
 		dep[i] = best
 	})
-	return delta, dep
+	return need
 }
 
 // Decision computes the decision graph at dcut: per-point density and

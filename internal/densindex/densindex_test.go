@@ -279,3 +279,66 @@ func TestCovers(t *testing.T) {
 		}
 	}
 }
+
+// treePathShare is the fraction of points a cut at dcut answers with
+// the kd-tree search rather than from their stored lists.
+func treePathShare(x *Index, dcut float64) float64 {
+	n := x.N()
+	order := core.DensityOrder(x.rho(dcut, 1), 1)
+	rank := make([]int32, n)
+	for r, i := range order {
+		rank[i] = int32(r)
+	}
+	need := x.listDependents(order, rank, make([]float64, n), make([]int32, n), 1)
+	k := 0
+	for _, b := range need {
+		if b {
+			k++
+		}
+	}
+	return float64(k) / float64(n)
+}
+
+// TestCutTreePathMatchesFreshFit covers the points a stored list cannot
+// answer. On a noise-heavy AirlineLike sample a large share of points
+// has no higher-density neighbor within the ceiling; their dependents
+// come from the kd-tree search, and the cut must still equal Scan and
+// Ex-DPC bit for bit, serial and parallel, across a d_cut grid.
+func TestCutTreePathMatchesFreshFit(t *testing.T) {
+	d := data.AirlineLike(3000, 3)
+	grid := []float64{0.6 * d.DCut, 0.8 * d.DCut, d.DCut}
+	idx, err := Build(d.Points, d.DCut, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dc := range grid {
+		share := treePathShare(idx, dc)
+		t.Logf("dcut=%g: %.0f%% of points take the tree path", dc, 100*share)
+		if share < 0.3 {
+			t.Fatalf("dcut=%g: only %.0f%% of points take the tree path, want >= 30%%", dc, 100*share)
+		}
+		p := core.Params{DCut: dc, RhoMin: d.RhoMin, DeltaMin: d.DeltaMin, Workers: 4}
+		serial := p
+		serial.Workers = 1
+		cuts := map[string]*core.Result{}
+		for name, q := range map[string]core.Params{"serial": serial, "parallel": p} {
+			if cuts[name], err = idx.Cut(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, alg := range []core.Algorithm{core.Scan{}, core.ExDPC{}} {
+			want, err := alg.ClusterDataset(d.Points, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, got := range cuts {
+				what := fmt.Sprintf("%s cut vs %s at dcut=%g", name, alg.Name(), dc)
+				sameBits(t, what+" rho", got.Rho, want.Rho)
+				sameBits(t, what+" delta", got.Delta, want.Delta)
+				sameInt32(t, what+" dep", got.Dep, want.Dep)
+				sameInt32(t, what+" labels", got.Labels, want.Labels)
+				sameInt32(t, what+" centers", got.Centers, want.Centers)
+			}
+		}
+	}
+}

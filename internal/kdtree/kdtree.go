@@ -1,10 +1,10 @@
 // Package kdtree implements an in-memory kd-tree over point indices.
 //
 // It is the workhorse index of the paper's algorithms: Ex-DPC issues one
-// circular range count per point for local densities and a nearest-neighbor
-// query per point (against an incrementally grown tree) for dependent
-// points; Approx-DPC issues one joint range search per grid cell and builds
-// s small trees for its exact dependent-point phase.
+// circular range count per point for local densities and a rank-tie-broken
+// nearest-neighbor query per point (against an incrementally grown tree)
+// for dependent points; Approx-DPC issues one joint range search per grid
+// cell and builds s small trees for its exact dependent-point phase.
 //
 // The tree stores int32 indices into a caller-owned flat geom.Dataset, so
 // several trees over subsets of one dataset share the point storage, and
@@ -47,10 +47,11 @@ type Tree struct {
 // coord returns coordinate dim of point id straight from the flat buffer.
 func (t *Tree) coord(id int32, dim int) float64 { return t.ds.Coord(id, dim) }
 
-// New returns an empty tree over the dataset. Points are added with
-// Insert.
+// New returns an empty tree over the dataset with room for every point
+// of it, so a tree grown to the whole dataset by Insert never
+// reallocates its node arena.
 func New(ds *geom.Dataset) *Tree {
-	return &Tree{ds: ds, root: nilNode, dim: ds.Dim}
+	return &Tree{ds: ds, nodes: make([]node, 0, ds.N), root: nilNode, dim: ds.Dim}
 }
 
 // Build bulk-loads a balanced tree over the given point indices.
@@ -302,23 +303,27 @@ func (t *Tree) NNWithBound(q []float64, boundSq float64) (int32, float64) {
 	return best, bestSq
 }
 
-// NNFiltered returns the nearest tree point to q that satisfies keep, with
-// its squared distance, or (-1, +Inf) when none qualifies. It is used by
-// the dependent-point searches that must respect the higher-density
-// constraint.
-func (t *Tree) NNFiltered(q []float64, keep func(id int32) bool) (int32, float64) {
+// NNRank returns the nearest tree point to q and its squared distance,
+// breaking exact squared-distance ties toward the smallest rank[id]; it
+// returns (-1, +Inf) when the tree is empty. With rank the position in
+// descending density order this is the dependent-point rule of the
+// brute-force scan (the earliest of the equally near denser points), so
+// a tree search and a scan agree on ties too. A tie can sit exactly on a
+// splitting plane, so the far side is pruned only when strictly farther
+// than the best distance.
+func (t *Tree) NNRank(q []float64, rank []int32) (int32, float64) {
 	best := int32(-1)
 	bestSq := math.Inf(1)
-	if t.root == nilNode {
-		return best, bestSq
+	if t.root != nilNode {
+		t.nnRank(t.root, q, rank, &best, &bestSq)
 	}
-	t.nnFiltered(t.root, q, keep, &best, &bestSq)
 	return best, bestSq
 }
 
-func (t *Tree) nnFiltered(cur int32, q []float64, keep func(int32) bool, best *int32, bestSq *float64) {
+func (t *Tree) nnRank(cur int32, q []float64, rank []int32, best *int32, bestSq *float64) {
 	nd := &t.nodes[cur]
-	if d, ok := geom.SqDistToIdxPartial(t.ds, q, nd.pt, *bestSq); ok && d < *bestSq && keep(nd.pt) {
+	if d, ok := geom.SqDistToIdxPartial(t.ds, q, nd.pt, *bestSq); ok &&
+		(d < *bestSq || (d == *bestSq && *best >= 0 && rank[nd.pt] < rank[*best])) {
 		*bestSq = d
 		*best = nd.pt
 	}
@@ -328,10 +333,10 @@ func (t *Tree) nnFiltered(cur int32, q []float64, keep func(int32) bool, best *i
 		near, far = nd.r, nd.l
 	}
 	if near != nilNode {
-		t.nnFiltered(near, q, keep, best, bestSq)
+		t.nnRank(near, q, rank, best, bestSq)
 	}
-	if far != nilNode && ax*ax < *bestSq {
-		t.nnFiltered(far, q, keep, best, bestSq)
+	if far != nilNode && ax*ax <= *bestSq {
+		t.nnRank(far, q, rank, best, bestSq)
 	}
 }
 

@@ -213,18 +213,67 @@ func TestInsertThenRange(t *testing.T) {
 	}
 }
 
-func TestNNFiltered(t *testing.T) {
-	pts := [][]float64{{0, 0}, {1, 0}, {2, 0}, {3, 0}}
-	tr := BuildAll(geom.MustFromRows(pts))
-	q := []float64{0.4, 0}
-	// Exclude the true nearest (index 0): expect index 1.
-	id, sq := tr.NNFiltered(q, func(id int32) bool { return id != 0 })
-	if id != 1 || math.Abs(sq-0.36) > 1e-12 {
-		t.Errorf("NNFiltered = (%d, %v), want (1, 0.36)", id, sq)
+// TestNNRankTieAcrossSplit puts the tie winner on the far side of a
+// splitting plane at exactly the best distance: q=(0,0) splits at x=1 on
+// the root, the near side holds (-1,0) and the far side (1,0), both at
+// squared distance 1. Pruning the far side on a strict < would miss
+// (1,0) whenever it is the earlier-ranked of the two.
+func TestNNRankTieAcrossSplit(t *testing.T) {
+	tr := New(geom.MustFromRows([][]float64{{1, 5}, {-1, 0}, {1, 0}}))
+	for id := int32(0); id < 3; id++ {
+		tr.Insert(id) // root splits x at 1; (-1,0) goes left, (1,0) right
 	}
-	// Filter everything: expect miss.
-	if id, _ := tr.NNFiltered(q, func(int32) bool { return false }); id != -1 {
-		t.Errorf("NNFiltered with empty filter = %d, want -1", id)
+	q := []float64{0, 0}
+	for _, tc := range []struct {
+		rank []int32
+		want int32
+	}{
+		{[]int32{0, 2, 1}, 2}, // far-side point ranks first
+		{[]int32{0, 1, 2}, 1}, // near-side point ranks first
+	} {
+		if id, sq := tr.NNRank(q, tc.rank); id != tc.want || sq != 1 {
+			t.Errorf("rank %v: NNRank = (%d, %v), want (%d, 1)", tc.rank, id, sq, tc.want)
+		}
+	}
+	if id, sq := New(geom.MustFromRows([][]float64{{0, 0}})).NNRank(q, nil); id != -1 || !math.IsInf(sq, 1) {
+		t.Errorf("empty tree: NNRank = (%d, %v), want (-1, +Inf)", id, sq)
+	}
+}
+
+// TestNNRankMatchesBrute checks NNRank against a scan that keeps the
+// earliest-ranked of the nearest points, on grid-snapped duplicates
+// where exact ties are everywhere, for bulk-built and inserted trees.
+func TestNNRankMatchesBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	pts := randPts(rng, 400, 2, 10)
+	for _, p := range pts {
+		for j := range p {
+			p[j] = math.Floor(p[j])
+		}
+	}
+	rank := make([]int32, len(pts))
+	for r, i := range rng.Perm(len(pts)) {
+		rank[i] = int32(r)
+	}
+	ds := geom.MustFromRows(pts)
+	inserted := New(ds)
+	for _, i := range rng.Perm(len(pts)) {
+		inserted.Insert(int32(i))
+	}
+	for name, tr := range map[string]*Tree{"bulk": BuildAll(ds), "insert": inserted} {
+		for k := 0; k < 200; k++ {
+			q := []float64{float64(rng.Intn(12)) - 1, float64(rng.Intn(12)) - 1}
+			want, wantSq := int32(-1), math.Inf(1)
+			for i, p := range pts {
+				d := geom.SqDist(q, p)
+				if d < wantSq || d == wantSq && rank[i] < rank[want] {
+					want, wantSq = int32(i), d
+				}
+			}
+			if got, gotSq := tr.NNRank(q, rank); got != want || gotSq != wantSq {
+				t.Fatalf("%s q=%v: NNRank = (%d, %v), want (%d, %v)", name, q, got, gotSq, want, wantSq)
+			}
+		}
 	}
 }
 
